@@ -8,8 +8,7 @@ Public entry points:
 * :mod:`repro.overlay` — experiment runner, oracle, workloads,
 * :mod:`repro.network` — topology models and lossy transport,
 * :mod:`repro.traces` — churn trace generators and analysis,
-* :mod:`repro.apps` — applications built on the overlay (DHT, Squirrel
-  web cache, Scribe-style multicast),
+* :mod:`repro.apps` — the Squirrel web cache built on the overlay,
 * :mod:`repro.experiments` — one module per paper figure/table.
 """
 

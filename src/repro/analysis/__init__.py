@@ -4,7 +4,7 @@ See DESIGN.md §9 (per-file rules) and §14 (whole-program tier) for the
 contract each rule encodes.  Entry points:
 
 * ``python -m repro.cli lint`` — the CLI verb (human/JSON/SARIF output,
-  baseline, incremental cache)
+  baseline)
 * :func:`repro.analysis.runner.lint_paths` — the library API
 """
 
@@ -15,7 +15,6 @@ from repro.analysis.baseline import (
     build_baseline,
     DEFAULT_BASELINE_NAME,
 )
-from repro.analysis.cache import LintCache, rules_fingerprint
 from repro.analysis.core import (
     EXEMPTIONS,
     REGISTRY,
@@ -51,7 +50,6 @@ from repro.analysis.runner import (
     collect_files,
     lint_paths,
     run_all_tools,
-    run_all_tools_cached,
 )
 from repro.analysis.rules_flow import (
     WIRE_BASELINE_NAME,

@@ -55,17 +55,6 @@ class Finding:
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
 
-    def to_dict(self) -> Dict[str, object]:
-        return {"code": self.code, "severity": self.severity,
-                "path": self.path, "line": self.line, "col": self.col,
-                "message": self.message, "line_text": self.line_text}
-
-    @classmethod
-    def from_dict(cls, doc: Dict) -> "Finding":
-        return cls(code=doc["code"], severity=doc["severity"],
-                   path=doc["path"], line=doc["line"], col=doc["col"],
-                   message=doc["message"], line_text=doc.get("line_text", ""))
-
 
 @dataclass
 class FileContext:

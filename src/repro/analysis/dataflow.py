@@ -5,10 +5,8 @@ Each function body is abstracted into a :class:`FunctionSummary` — which
 taint tags reach its return value, which calls it makes (and with what
 taints on each argument), which attribute/state writes it performs, and
 which module-level names it mutates.  Summaries are deliberately
-*self-contained and serializable*: the project tier (``analysis/project.py``)
-stitches them together along the call graph without ever re-reading the
-AST, which is what lets the incremental cache skip parsing unchanged
-files entirely.
+*self-contained*: the project tier (``analysis/project.py``) stitches them
+together along the call graph without ever re-reading the AST.
 
 The lattice is a powerset of string tags:
 
@@ -75,19 +73,6 @@ class CallSite:
     line_text: str
     arg_taints: Tuple[FrozenSet[str], ...]  # positional args then keyword values
 
-    def to_dict(self) -> Dict:
-        return {
-            "callee": self.callee, "line": self.line, "col": self.col,
-            "line_text": self.line_text,
-            "arg_taints": [sorted(t) for t in self.arg_taints],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Dict) -> "CallSite":
-        return cls(callee=doc["callee"], line=doc["line"], col=doc["col"],
-                   line_text=doc["line_text"],
-                   arg_taints=tuple(frozenset(t) for t in doc["arg_taints"]))
-
 
 @dataclass(frozen=True)
 class StateWrite:
@@ -101,17 +86,6 @@ class StateWrite:
     col: int
     line_text: str
 
-    def to_dict(self) -> Dict:
-        return {"obj": self.obj, "ctor": self.ctor, "attr": self.attr,
-                "taints": sorted(self.taints), "line": self.line,
-                "col": self.col, "line_text": self.line_text}
-
-    @classmethod
-    def from_dict(cls, doc: Dict) -> "StateWrite":
-        return cls(obj=doc["obj"], ctor=doc["ctor"], attr=doc["attr"],
-                   taints=frozenset(doc["taints"]), line=doc["line"],
-                   col=doc["col"], line_text=doc["line_text"])
-
 
 @dataclass(frozen=True)
 class GlobalWrite:
@@ -123,17 +97,6 @@ class GlobalWrite:
     line: int
     col: int
     line_text: str
-
-    def to_dict(self) -> Dict:
-        return {"name": self.name, "kind": self.kind,
-                "taints": sorted(self.taints), "line": self.line,
-                "col": self.col, "line_text": self.line_text}
-
-    @classmethod
-    def from_dict(cls, doc: Dict) -> "GlobalWrite":
-        return cls(name=doc["name"], kind=doc["kind"],
-                   taints=frozenset(doc["taints"]), line=doc["line"],
-                   col=doc["col"], line_text=doc["line_text"])
 
 
 @dataclass
@@ -147,25 +110,6 @@ class FunctionSummary:
     calls: List[CallSite] = field(default_factory=list)
     state_writes: List[StateWrite] = field(default_factory=list)
     global_writes: List[GlobalWrite] = field(default_factory=list)
-
-    def to_dict(self) -> Dict:
-        return {
-            "qualname": self.qualname, "module": self.module,
-            "line": self.line, "returns": sorted(self.returns),
-            "calls": [c.to_dict() for c in self.calls],
-            "state_writes": [w.to_dict() for w in self.state_writes],
-            "global_writes": [w.to_dict() for w in self.global_writes],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Dict) -> "FunctionSummary":
-        return cls(
-            qualname=doc["qualname"], module=doc["module"], line=doc["line"],
-            returns=frozenset(doc["returns"]),
-            calls=[CallSite.from_dict(c) for c in doc["calls"]],
-            state_writes=[StateWrite.from_dict(w) for w in doc["state_writes"]],
-            global_writes=[GlobalWrite.from_dict(w) for w in doc["global_writes"]],
-        )
 
 
 def _stream_name(name_arg: Optional[ast.AST], site: ast.Call) -> str:

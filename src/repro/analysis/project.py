@@ -7,11 +7,10 @@ wall-clock value crossing from ``repro.runtime`` into sim state, a wire
 ``_REGISTRY`` drifting away from the message dataclasses it encodes.
 This module builds the cross-module view in one pass:
 
-* :func:`summarize_module` condenses one parsed file into a serializable
+* :func:`summarize_module` condenses one parsed file into a
   :class:`ModuleSummary` — function taint summaries (``analysis.dataflow``),
   class hierarchy, classified module globals, wire-registry literals and
-  multiprocessing entry points.  Summaries round-trip through JSON, so
-  the incremental cache can skip re-parsing unchanged files.
+  multiprocessing entry points.
 * :class:`ProjectContext` indexes every summary, resolves the import and
   call graphs, and runs the interprocedural fixpoints (concrete return
   taints; transitively mutated globals) that the FLOW/RNG/PAR rule
@@ -96,15 +95,6 @@ class ClassInfo:
     line: int
     bases: Tuple[str, ...]
 
-    def to_dict(self) -> Dict:
-        return {"qualname": self.qualname, "module": self.module,
-                "line": self.line, "bases": list(self.bases)}
-
-    @classmethod
-    def from_dict(cls, doc: Dict) -> "ClassInfo":
-        return cls(qualname=doc["qualname"], module=doc["module"],
-                   line=doc["line"], bases=tuple(doc["bases"]))
-
 
 @dataclass(frozen=True)
 class ModuleGlobal:
@@ -116,15 +106,6 @@ class ModuleGlobal:
     col: int
     line_text: str
 
-    def to_dict(self) -> Dict:
-        return {"name": self.name, "kind": self.kind, "line": self.line,
-                "col": self.col, "line_text": self.line_text}
-
-    @classmethod
-    def from_dict(cls, doc: Dict) -> "ModuleGlobal":
-        return cls(name=doc["name"], kind=doc["kind"], line=doc["line"],
-                   col=doc["col"], line_text=doc["line_text"])
-
 
 @dataclass(frozen=True)
 class EntryPoint:
@@ -135,19 +116,10 @@ class EntryPoint:
     col: int
     line_text: str
 
-    def to_dict(self) -> Dict:
-        return {"target": self.target, "line": self.line, "col": self.col,
-                "line_text": self.line_text}
-
-    @classmethod
-    def from_dict(cls, doc: Dict) -> "EntryPoint":
-        return cls(target=doc["target"], line=doc["line"], col=doc["col"],
-                   line_text=doc["line_text"])
-
 
 @dataclass
 class ModuleSummary:
-    """Everything the project tier keeps about one module (serializable)."""
+    """Everything the project tier keeps about one module."""
 
     module: str
     rel_path: str
@@ -158,31 +130,6 @@ class ModuleSummary:
     #: wire registry literal, if this module defines one: (type_id, class fq)
     wire_registry: List[Tuple[int, str]] = field(default_factory=list)
     entry_points: List[EntryPoint] = field(default_factory=list)
-
-    def to_dict(self) -> Dict:
-        return {
-            "module": self.module, "rel_path": self.rel_path,
-            "imports": dict(sorted(self.imports.items())),
-            "functions": [f.to_dict() for f in self.functions],
-            "classes": [c.to_dict() for c in self.classes],
-            "module_globals": [g.to_dict() for g in self.module_globals],
-            "wire_registry": [[i, c] for i, c in self.wire_registry],
-            "entry_points": [e.to_dict() for e in self.entry_points],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Dict) -> "ModuleSummary":
-        return cls(
-            module=doc["module"], rel_path=doc["rel_path"],
-            imports=dict(doc["imports"]),
-            functions=[FunctionSummary.from_dict(f) for f in doc["functions"]],
-            classes=[ClassInfo.from_dict(c) for c in doc["classes"]],
-            module_globals=[ModuleGlobal.from_dict(g)
-                            for g in doc["module_globals"]],
-            wire_registry=[(int(i), str(c)) for i, c in doc["wire_registry"]],
-            entry_points=[EntryPoint.from_dict(e)
-                          for e in doc["entry_points"]],
-        )
 
 
 # ----------------------------------------------------------------------

@@ -10,12 +10,6 @@ Two analysis tiers run over the same scan:
 * the **project tier** (``project.check_project``) — whole-program rules
   (RNG/FLOW/WIRE/PAR families) over the symbol table + call graph built
   from *all* scanned modules.
-
-With a ``cache_path``, results are memoized per content hash (see
-``analysis.cache``): a warm run re-reads and re-hashes every file but
-re-analyzes only changed ones, and skips the project tier entirely when
-no file (and no wire baseline) changed.  Suppression *matching* replays
-every run so cached findings still interact with fresh ones.
 """
 
 from __future__ import annotations
@@ -32,13 +26,6 @@ from repro.analysis import rules_flow  # noqa: F401
 from repro.analysis import rules_performance  # noqa: F401
 from repro.analysis import rules_simulation  # noqa: F401
 from repro.analysis.baseline import Baseline, BaselineResult, apply_baseline
-from repro.analysis.cache import (
-    FileEntry,
-    LintCache,
-    content_hash,
-    project_key,
-    rules_fingerprint,
-)
 from repro.analysis.core import (
     EXEMPTIONS,
     REGISTRY,
@@ -53,6 +40,7 @@ from repro.analysis.project import (
     ProjectContext,
     check_project,
     module_name_of,
+    summarize_module,
 )
 from repro.analysis.rules_flow import WIRE_BASELINE_NAME, load_wire_baseline
 from repro.analysis.suppress import Suppressions, parse_suppressions
@@ -105,13 +93,6 @@ class LintReport:
     findings: List[Finding] = field(default_factory=list)
     suppressed: int = 0
     notes: List[str] = field(default_factory=list)
-    #: cache statistics — surfaced on stderr only, never in rendered
-    #: reports (warm output must be byte-identical to cold)
-    cache_hits: int = 0
-    cache_misses: int = 0
-    project_cached: bool = False
-    #: hash over every scanned file, for tool-outcome caching
-    tree_hash: str = ""
 
     @property
     def failed(self) -> bool:
@@ -131,9 +112,9 @@ def _selected_codes(select: Optional[Sequence[str]]) -> Optional[set]:
 
 
 def _analyze_file(rel_path: str, source: str) -> Tuple[List[Finding],
-                                                       Suppressions, Dict]:
-    """Cold path: parse + per-file rules + suppressions + module summary."""
-    from repro.analysis.project import summarize_module
+                                                       Suppressions,
+                                                       ModuleSummary]:
+    """Parse + per-file rules + suppressions + module summary."""
     suppressions = parse_suppressions(rel_path, source)
     try:
         ctx = FileContext.parse(rel_path, source)
@@ -144,22 +125,21 @@ def _analyze_file(rel_path: str, source: str) -> Tuple[List[Finding],
             message=f"file does not parse: {exc.msg}")]
         summary = ModuleSummary(module=module_name_of(rel_path),
                                 rel_path=rel_path)
-        return raw, suppressions, summary.to_dict()
+        return raw, suppressions, summary
     raw = check_file(ctx, REGISTRY.rules())
-    return raw, suppressions, summarize_module(ctx).to_dict()
+    return raw, suppressions, summarize_module(ctx)
 
 
 def lint_paths(paths: Sequence, baseline: Optional[Baseline] = None,
                root: Optional[Path] = None,
                select: Optional[Sequence[str]] = None, *,
-               cache_path: Optional[Path] = None,
                wire_baseline_path: Optional[Path] = None,
                validate_exemptions: bool = False) -> LintReport:
     """Run both analysis tiers over ``paths``.
 
     ``select`` narrows to specific rule codes (used by the self-tests and
-    by ``repro lint --select``); the cache stores unfiltered results, so
-    a select run neither pollutes nor misses the cache.
+    by ``repro lint --select``); it filters findings, not analysis, so
+    the project tier always sees every scanned module.
     ``validate_exemptions`` additionally asserts that every registered
     package exemption matches at least one scanned file.
     """
@@ -169,60 +149,29 @@ def lint_paths(paths: Sequence, baseline: Optional[Baseline] = None,
     if validate_exemptions:
         EXEMPTIONS.validate(rel_paths)
 
-    rules_fp = rules_fingerprint()
-    cache = LintCache.load(cache_path, rules_fp) if cache_path is not None \
-        else LintCache(rules_fp=rules_fp)
-
     report = LintReport()
-    per_file: Dict[str, Tuple[List[Finding], Suppressions, Dict]] = {}
-    file_hashes: Dict[str, str] = {}
+    per_file: Dict[str, Tuple[List[Finding], Suppressions]] = {}
+    summaries: List[ModuleSummary] = []
     for rel_path, abs_path in files:
         try:
-            data = abs_path.read_bytes()
+            source = abs_path.read_bytes().decode("utf-8")
         except OSError as exc:
             raise AnalysisError(f"cannot read {rel_path}: {exc}") from exc
-        digest = content_hash(data)
-        file_hashes[rel_path] = digest
-        entry = cache.files.get(rel_path)
-        if entry is not None and entry.content_hash == digest:
-            report.cache_hits += 1
-            raw = [Finding.from_dict(d) for d in entry.raw_findings]
-            suppressions = Suppressions.from_dict(rel_path, entry.suppress)
-            summary_doc = entry.summary
-        else:
-            report.cache_misses += 1
-            raw, suppressions, summary_doc = _analyze_file(
-                rel_path, data.decode("utf-8"))
-            cache.files[rel_path] = FileEntry(
-                content_hash=digest,
-                raw_findings=[f.to_dict() for f in raw],
-                suppress=suppressions.to_dict(),
-                summary=summary_doc)
-        per_file[rel_path] = (raw, suppressions, summary_doc)
+        raw, suppressions, summary = _analyze_file(rel_path, source)
+        per_file[rel_path] = (raw, suppressions)
+        summaries.append(summary)
         report.files_scanned += 1
 
-    # ---- project tier (skipped wholesale when nothing changed) -------
+    # ---- project tier -------------------------------------------------
     wire_path = wire_baseline_path if wire_baseline_path is not None else \
         (Path(root) if root is not None else Path.cwd()) / WIRE_BASELINE_NAME
-    wire_bytes = wire_path.read_bytes() if wire_path.exists() else b""
-    pkey = project_key(rules_fp, file_hashes, wire_bytes)
-    report.tree_hash = pkey
-    if cache.project_key == pkey:
-        report.project_cached = True
-        project_raw = [Finding.from_dict(d) for d in cache.project_findings]
-    else:
-        summaries = [ModuleSummary.from_dict(per_file[rel][2])
-                     for rel in rel_paths]
-        project = ProjectContext(summaries)
-        project.wire_baseline = load_wire_baseline(wire_path)
-        project_rules = [r for r in PROJECT_REGISTRY.rules()]
-        project_raw = check_project(project, project_rules)
-        cache.project_key = pkey
-        cache.project_findings = [f.to_dict() for f in project_raw]
+    project = ProjectContext(summaries)
+    project.wire_baseline = load_wire_baseline(wire_path)
+    project_raw = check_project(project, PROJECT_REGISTRY.rules())
 
-    # ---- suppression matching replays every run ----------------------
+    # ---- suppressions ------------------------------------------------
     for rel_path in rel_paths:
-        raw, suppressions, _ = per_file[rel_path]
+        raw, suppressions = per_file[rel_path]
         for finding in raw:
             if selected is not None and finding.code not in selected \
                     and finding.code not in _META_CODES:
@@ -246,10 +195,6 @@ def lint_paths(paths: Sequence, baseline: Optional[Baseline] = None,
 
     report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     report.result = apply_baseline(report.findings, baseline or Baseline())
-
-    if cache_path is not None:
-        cache.prune(rel_paths)
-        cache.save(cache_path)
     return report
 
 
@@ -291,24 +236,3 @@ def run_all_tools(mypy_targets: Sequence[str] = (
     outcomes.append(_run_external("mypy", list(mypy_targets)))
     return outcomes
 
-
-def run_all_tools_cached(cache_path: Optional[Path],
-                         tree_hash: str) -> Tuple[List[ToolOutcome], bool]:
-    """Tool outcomes memoized against the scanned tree's hash.
-
-    Only clean outcomes ("ok"/"skipped") are cached — a failure always
-    re-runs so a fix is picked up immediately even if the failing tool
-    reads files outside the scanned tree.  Returns (outcomes, cached?).
-    """
-    if cache_path is None or not tree_hash:
-        return run_all_tools(), False
-    cache = LintCache.load(cache_path, rules_fingerprint())
-    if cache.tools_key == tree_hash and cache.tools:
-        return [ToolOutcome(**doc) for doc in cache.tools], True
-    outcomes = run_all_tools()
-    if all(o.status in ("ok", "skipped") for o in outcomes):
-        cache.tools_key = tree_hash
-        cache.tools = [{"name": o.name, "status": o.status,
-                        "detail": o.detail} for o in outcomes]
-        cache.save(cache_path)
-    return outcomes, False

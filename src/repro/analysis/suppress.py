@@ -76,25 +76,6 @@ class Suppressions:
                                f"matched no finding")
         return out
 
-    def to_dict(self) -> Dict:
-        """Serialize for the incremental cache (``used`` is run state)."""
-        return {
-            "file_level": dict(sorted(self.file_level.items())),
-            "by_line": {str(line): dict(sorted(codes.items()))
-                        for line, codes in sorted(self.by_line.items())},
-            "problems": [p.to_dict() for p in self.problems],
-        }
-
-    @classmethod
-    def from_dict(cls, path: str, doc: Dict) -> "Suppressions":
-        return cls(
-            path=path,
-            file_level=dict(doc["file_level"]),
-            by_line={int(line): dict(codes)
-                     for line, codes in doc["by_line"].items()},
-            problems=[Finding.from_dict(p) for p in doc["problems"]],
-        )
-
 
 def _problem(path: str, lineno: int, text: str, message: str) -> Finding:
     return Finding(code=LINT000, severity="error", path=path, line=lineno,

@@ -1,25 +1,13 @@
 """Applications built on the MSPastry overlay.
 
-The paper motivates the overlay with distributed hash tables, archival
-stores, web caches and application-level multicast; it validates the
-simulator against a deployment of the Squirrel web cache (§5.3.1).  This
-package provides three such applications:
-
-* :class:`DhtNode` — a replicated put/get distributed hash table,
-* :class:`SquirrelProxy` — the decentralized web cache used for Figure 8,
-* :class:`MulticastNode` — Scribe-style application-level multicast trees.
+The paper validates the simulator against a deployment of the Squirrel
+decentralized web cache (§5.3.1); :class:`SquirrelProxy` reconstructs it
+for Figure 8.
 """
 
-from repro.apps.dht import Dht, DhtNode
-from repro.apps.multicast import MulticastNode
 from repro.apps.squirrel import SquirrelProxy, WebOrigin
-from repro.apps.storage import ReplicatingStore
 
 __all__ = [
-    "Dht",
-    "DhtNode",
-    "MulticastNode",
-    "ReplicatingStore",
     "SquirrelProxy",
     "WebOrigin",
 ]

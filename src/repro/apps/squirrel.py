@@ -16,10 +16,26 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from repro.apps.common import chain_callback
 from repro.pastry.messages import AppDirect, Lookup
 from repro.pastry.node import MSPastryNode
 from repro.pastry.nodeid import key_of
+
+
+def _chain_callback(existing: Optional[Callable], new: Callable) -> Callable:
+    """Compose node callbacks so metrics hooks and the proxy coexist.
+
+    The experiment runner installs metrics callbacks on every node; a proxy
+    attaching afterwards must not displace them.  The existing callback (if
+    any) runs first, then the proxy's.
+    """
+    if existing is None:
+        return new
+
+    def chained(*args):
+        existing(*args)
+        new(*args)
+
+    return chained
 
 
 @dataclass
@@ -88,8 +104,8 @@ class SquirrelProxy:
         self.remote_hits = 0
         self.origin_fetches = 0
         self.requests = 0
-        node.on_deliver = chain_callback(node.on_deliver, self._deliver)
-        node.on_app_direct = chain_callback(node.on_app_direct, self._direct)
+        node.on_deliver = _chain_callback(node.on_deliver, self._deliver)
+        node.on_app_direct = _chain_callback(node.on_app_direct, self._direct)
 
     # ------------------------------------------------------------------
     # Browser-facing API

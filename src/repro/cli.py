@@ -211,7 +211,7 @@ def cmd_lint(args) -> int:
         render_human,
         render_json,
         render_sarif,
-        run_all_tools_cached,
+        run_all_tools,
     )
 
     if args.explain:
@@ -235,8 +235,6 @@ def cmd_lint(args) -> int:
                 print(f"  {ex.package}: {', '.join(ex.codes)}")
                 print(f"    {ex.reason}")
         return 0
-
-    cache_path = None if args.no_cache else Path(args.cache)
 
     if args.write_wire_baseline:
         from repro.analysis.core import FileContext
@@ -265,31 +263,22 @@ def cmd_lint(args) -> int:
             else Baseline.load(args.baseline)
         report = lint_paths(
             args.paths, baseline=baseline, select=args.select,
-            cache_path=cache_path,
             wire_baseline_path=Path(args.wire_baseline),
             validate_exemptions=args.check_exemptions)
     except AnalysisError as exc:
         return _fail(str(exc), status=2)
-    if cache_path is not None:
-        total = report.cache_hits + report.cache_misses
-        project_note = "cached" if report.project_cached else "re-analyzed"
-        print(f"[cache] reused {report.cache_hits}/{total} files; "
-              f"project tier {project_note}", file=sys.stderr)
 
     status = 0
     if args.all:
-        outcomes, cached = run_all_tools_cached(cache_path,
-                                                report.tree_hash)
-        for outcome in outcomes:
+        for outcome in run_all_tools():
             if outcome.status == "failed":
                 print(f"[{outcome.name}] FAILED\n{outcome.detail}",
                       file=sys.stderr)
                 status = 1
             else:
                 note = f" ({outcome.detail})" if outcome.detail else ""
-                cached_note = " [cached]" if cached else ""
-                print(f"[{outcome.name}] {outcome.status}{note}"
-                      f"{cached_note}", file=sys.stderr)
+                print(f"[{outcome.name}] {outcome.status}{note}",
+                      file=sys.stderr)
 
     if args.write_baseline:
         build_baseline(report.findings).save(args.baseline)
@@ -507,12 +496,6 @@ def main(argv=None) -> int:
                            "then exit")
     lint.add_argument("--all", action="store_true",
                       help="also run ruff and mypy (skipped if not installed)")
-    lint.add_argument("--cache", default=".detlint-cache.json",
-                      help="incremental cache file "
-                           "(default: .detlint-cache.json)")
-    lint.add_argument("--no-cache", action="store_true",
-                      help="analyze everything from scratch, "
-                           "don't read or write the cache")
     lint.add_argument("--wire-baseline", default=".detlint-wire-baseline.json",
                       help="committed wire type-id baseline for WIRE002 "
                            "(default: .detlint-wire-baseline.json)")

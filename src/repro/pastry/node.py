@@ -88,7 +88,6 @@ class MSPastryNode:
         on_active: Optional[Callable[["MSPastryNode"], None]] = None,
         on_deliver: Optional[Callable[["MSPastryNode", m.Lookup], None]] = None,
         on_drop: Optional[Callable[["MSPastryNode", m.Lookup], None]] = None,
-        on_forward: Optional[Callable[["MSPastryNode", m.Lookup], bool]] = None,
         on_app_direct: Optional[Callable[["MSPastryNode", m.AppDirect], None]] = None,
     ) -> None:
         self.sim = sim
@@ -104,7 +103,6 @@ class MSPastryNode:
         self.on_active = on_active
         self.on_deliver = on_deliver
         self.on_drop = on_drop
-        self.on_forward = on_forward  # KBR forward upcall; False stops routing
         self.on_app_direct = on_app_direct
 
         self.leaf_set = LeafSet(self.descriptor, config.leaf_set_size)
@@ -1225,13 +1223,6 @@ class MSPastryNode:
 
     def _on_lookup(self, msg: m.Lookup) -> None:
         msg.hops += 1
-        if self.on_forward is not None and not self.on_forward(self, msg):
-            # Application consumed the message mid-route (e.g. Scribe
-            # subscription absorbed by an existing forwarder).  Still ack:
-            # the message was handled.
-            if msg.wants_acks and self.config.per_hop_acks and msg.sender is not None:
-                self.send(msg.sender, m.Ack(msg_id=msg.msg_id))
-            return
         next_hop = self._next_hop(msg.key, frozenset())
         deliverable = next_hop is not None or (self.active and self._may_deliver())
         if (

@@ -9,6 +9,5 @@ single :class:`Simulator` instance, so simulated time is globally consistent.
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.periodic import PeriodicTask
 from repro.sim.rng import RngStreams
-from repro.sim.tracing import MessageTracer
 
-__all__ = ["EventHandle", "MessageTracer", "PeriodicTask", "RngStreams", "Simulator"]
+__all__ = ["EventHandle", "PeriodicTask", "RngStreams", "Simulator"]

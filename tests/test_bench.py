@@ -15,7 +15,6 @@ from repro.bench import (
     CORE_SCENARIOS,
     SCENARIOS,
     SCHEMA,
-    SCHEMA_V1,
     BenchError,
     run_bench,
     run_scenario,
@@ -153,7 +152,7 @@ def test_cross_version_fingerprints_are_refused(tmp_path):
     report, _ = run_bench(quick=True, out=str(out), rebaseline=True,
                           scenarios=["engine_events"])
     base_entry = report["baseline"]["results"]["engine_events"]
-    base_entry["fingerprint_version"] = 0  # e.g. migrated from schema/1
+    base_entry["fingerprint_version"] = 0  # an older fingerprint format
     for past in report["history"]:
         past.pop("fingerprints", None)
         past.pop("fingerprint_versions", None)
@@ -190,38 +189,6 @@ def test_format_change_falls_back_to_history(tmp_path):
                            scenarios=["engine_events"])
     assert (report3["fingerprint_vs_baseline"]["engine_events"]
             == "CHANGED (vs history)")
-
-
-def test_v1_file_is_migrated_not_diffed(tmp_path):
-    """A schema/1 bench file loads read-only: the baseline is kept (rates
-    still compare) but re-labelled, and its fingerprints are version-0 so
-    they are refused for comparison rather than silently string-matched."""
-    out = tmp_path / "bench.json"
-    report, _ = run_bench(quick=True, out=str(out), rebaseline=True,
-                          label="old", scenarios=["engine_events"])
-    v1 = json.loads(out.read_text())
-    v1["schema"] = SCHEMA_V1
-    del v1["fingerprint_vs_baseline"]
-    for entry in v1["results"].values():
-        entry.pop("fingerprint_version", None)
-    for entry in v1["baseline"]["results"].values():
-        entry.pop("fingerprint_version", None)
-    for past in v1["history"]:  # schema/1 never recorded fingerprints
-        past.pop("fingerprints", None)
-        past.pop("fingerprint_versions", None)
-    # a v1 engine_timers-style fingerprint that records ':None' where the
-    # current format has a counter
-    v1["baseline"]["results"]["engine_events"]["fingerprint"] = "40064:None"
-    out.write_text(json.dumps(v1))
-
-    report2, _ = run_bench(quick=True, out=str(out), scenarios=["engine_events"])
-    assert report2["migrated_from"] == SCHEMA_V1
-    assert report2["baseline"]["label"] == "old [schema 1]"
-    status = report2["fingerprint_vs_baseline"]["engine_events"]
-    assert status.startswith("format-change v0->v1")
-    # rates still carry over: the workloads did not change
-    assert "engine_events" in report2["speedup"]
-    verify_report_schema(report2)
 
 
 def test_corporate_slice_scenario_registered():

@@ -29,6 +29,18 @@ def test_repo_tree_is_clean(monkeypatch, capsys):
     assert "clean" in capsys.readouterr().out
 
 
+def test_lint_leaves_working_directory_unchanged(violation_tree, capsys):
+    """Linting reads the tree and writes only to stdout/stderr."""
+    def listing():
+        return sorted(p.relative_to(violation_tree).as_posix()
+                      for p in violation_tree.rglob("*"))
+
+    before = listing()
+    assert main(["lint", "src"]) == 1
+    assert main(["lint", "src", "--format", "json"]) == 1
+    assert listing() == before
+
+
 def test_violation_fails_with_location(violation_tree, capsys):
     assert main(["lint", "src"]) == 1
     out = capsys.readouterr().out

@@ -1045,15 +1045,20 @@ def test_cross_module_hazard_caught_by_project_tier(hazard):
     assert expected in project_codes(files, wire_baseline=baseline), hazard
 
 
+def write_tree(root, files):
+    """Materialize a dict of {path: source} fixtures under ``root``."""
+    for rel, source in files.items():
+        target = root / rel
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(source)
+
+
 def test_cross_module_hazards_via_full_runner(tmp_path):
     """End to end: lint_paths surfaces a cross-module hazard and a line
     suppression in the right file silences it."""
     from repro.analysis import lint_paths
     files, _ = _CROSS_MODULE_HAZARDS["stream-shared-across-subsystems"]
-    for rel, source in files.items():
-        target = tmp_path / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(source)
+    write_tree(tmp_path, files)
     report = lint_paths([tmp_path / "src"], root=tmp_path)
     assert "RNG001" in [f.code for f in report.findings]
     # suppress at the flagged line, with a justification naming the code
@@ -1066,3 +1071,51 @@ def test_cross_module_hazards_via_full_runner(tmp_path):
     report = lint_paths([tmp_path / "src"], root=tmp_path)
     assert "RNG001" not in [f.code for f in report.findings]
     assert report.suppressed >= 1
+
+
+def test_select_filter_keeps_only_selected_codes(tmp_path):
+    """--select narrows per-file and whole-program findings alike."""
+    from repro.analysis import lint_paths
+    files, _ = _CROSS_MODULE_HAZARDS["stream-shared-across-subsystems"]
+    write_tree(tmp_path, {**files, "src/repro/sim/engine.py": (
+        "import time\n"
+        "def tick():\n"
+        "    return time.time()\n")})
+    full = lint_paths([tmp_path / "src"], root=tmp_path)
+    assert {f.code for f in full.findings} == {"DET002", "RNG001"}
+    for code in ("DET002", "RNG001"):
+        report = lint_paths([tmp_path / "src"], root=tmp_path, select=[code])
+        assert {f.code for f in report.findings} == {code}
+
+
+_EDIT_TREE = {
+    "src/repro/sim/engine.py": (
+        "import time\n"
+        "def tick():\n"
+        "    return time.time()\n"),
+    "src/repro/sim/clean.py": "def noop():\n    return 0\n",
+}
+
+
+def test_repeated_lint_renders_identical_json(tmp_path):
+    """Repeated runs over an unchanged tree render byte-identical output."""
+    from repro.analysis import lint_paths, render_json
+    write_tree(tmp_path, _EDIT_TREE)
+    first = render_json(lint_paths([tmp_path / "src"], root=tmp_path).findings)
+    again = render_json(lint_paths([tmp_path / "src"], root=tmp_path).findings)
+    assert first == again
+    assert "DET002" in first  # the fixture really does find something
+
+
+def test_relint_after_edit_reports_new_finding(tmp_path):
+    """Re-linting after an edit reports what the edit introduced."""
+    from repro.analysis import lint_paths
+
+    def lint():
+        return lint_paths([tmp_path / "src"], root=tmp_path).findings
+
+    write_tree(tmp_path, _EDIT_TREE)
+    assert [f.code for f in lint()] == ["DET002"]
+    (tmp_path / "src/repro/sim/clean.py").write_text(
+        "import time\ndef noop():\n    return time.time()\n")
+    assert [f.code for f in lint()] == ["DET002", "DET002"]

@@ -2,7 +2,7 @@
 
 import repro.analysis.runner  # noqa: F401  (registers the rules)
 from repro.analysis import lint_paths
-from repro.analysis.suppress import Suppressions, parse_suppressions
+from repro.analysis.suppress import parse_suppressions
 
 PATH = "src/repro/sim/fixture.py"
 
@@ -166,19 +166,3 @@ def test_parse_forms_directly():
                               "DET004": "DET001/DET004: fixture"}
     assert sup.by_line[4] == {"DET002": "DET002: banner"}
     assert sup.problems == []
-
-
-def test_suppressions_round_trip_through_cache_dict():
-    """to_dict/from_dict preserve matching behavior (cache contract)."""
-    source = (
-        "# detlint: disable-file=SIM001 -- SIM001: io shim\n"
-        "t = 1  # detlint: disable=DET002 -- DET002: banner\n"
-        "# detlint: disable=BAD\n"
-    )
-    original = parse_suppressions(PATH, source)
-    restored = Suppressions.from_dict(PATH, original.to_dict())
-    assert restored.file_level == original.file_level
-    assert restored.by_line == original.by_line
-    assert [p.message for p in restored.problems] == \
-        [p.message for p in original.problems]
-    assert restored.used == set()  # run state starts fresh

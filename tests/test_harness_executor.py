@@ -8,6 +8,8 @@ it (the inline paths are exercised everywhere).
 
 import json
 import multiprocessing
+import os
+import tempfile
 import time
 import types
 
@@ -111,35 +113,47 @@ def test_jobs1_and_jobs4_artifacts_byte_identical(tmp_path):
 # ----------------------------------------------------------------------
 # Resume (acceptance): only missing jobs re-run on re-invocation
 # ----------------------------------------------------------------------
+@needs_fork
 def test_resume_runs_only_missing_jobs(tmp_path):
-    calls = []
+    # With more than one CPU the jobs run in worker processes, so each call
+    # leaves a marker file that this process can count.
+    calls_dir = tmp_path / "calls"
+    calls_dir.mkdir()
+    sweep_dir = tmp_path / "sweep"
 
     def run(seed=0, x=0):
-        calls.append((x, seed))
+        fd, _ = tempfile.mkstemp(prefix=f"{x}-{seed}-", dir=calls_dir)
+        os.close(fd)
         return {"x": x}
+
+    def take_calls():
+        """The (x, seed) of every call since the last take."""
+        markers = sorted(calls_dir.iterdir())
+        for marker in markers:
+            marker.unlink()
+        return [tuple(int(v) for v in marker.name.split("-")[:2])
+                for marker in markers]
 
     registry = {"fake": fake_module(run)}
     spec = SweepSpec.from_json(dict(name="t", experiment="fake",
                                     grid={"x": [1, 2]}, seeds=[1, 2]))
-    outcome = run_sweep(spec, tmp_path, registry=registry)
-    assert outcome.all_ok and len(calls) == 4
+    outcome = run_sweep(spec, sweep_dir, registry=registry)
+    assert outcome.all_ok and len(take_calls()) == 4
 
     # Pre-seeded partial directory: drop two artifacts, keep the rest.
-    store = ResultStore(tmp_path)
+    store = ResultStore(sweep_dir)
     store.artifact_path("fake-x=2--s1").unlink()
     store.artifact_path("fake-x=2--s2").unlink()
 
-    calls.clear()
-    outcome = run_sweep(spec, tmp_path, registry=registry)
+    outcome = run_sweep(spec, sweep_dir, registry=registry)
     assert outcome.all_ok
     assert sorted(outcome.skipped) == ["fake-x=1--s1", "fake-x=1--s2"]
     assert sorted(outcome.ok) == ["fake-x=2--s1", "fake-x=2--s2"]
-    assert sorted(x for x, _seed in calls) == [2, 2]
+    assert sorted(x for x, _seed in take_calls()) == [2, 2]
 
     # --force re-runs everything.
-    calls.clear()
-    outcome = run_sweep(spec, tmp_path, registry=registry, force=True)
-    assert outcome.all_ok and not outcome.skipped and len(calls) == 4
+    outcome = run_sweep(spec, sweep_dir, registry=registry, force=True)
+    assert outcome.all_ok and not outcome.skipped and len(take_calls()) == 4
 
 
 def test_resume_retries_error_artifacts(tmp_path):
